@@ -19,9 +19,7 @@ use promips_data::ground_truth::exact_topk_batch;
 use promips_idistance::layout::{enc, read_blob_range};
 use promips_idistance::{build_index, IDistanceConfig, ProjScratch, RangeCandidate};
 use promips_linalg::dispatch::available_backends;
-use promips_linalg::{
-    active_backend, dist, dot, norm1, scalar, sq_dist, sq_dist4_i8, sq_norm2, Matrix,
-};
+use promips_linalg::{active_backend, dist, dot, norm1, scalar, sq_dist, sq_norm2, Matrix};
 use promips_shard::{
     CompactionPolicy, DegradationPolicy, QueryBudget, QueryError, ShardedConfig, ShardedProMips,
     ShardedScratch, SyncPolicy,
@@ -279,37 +277,6 @@ fn main() {
         }
         s
     }));
-    // The quantized filter shape: four contiguous u8 code rows against one
-    // quantized query through the blocked integer kernel — 1 byte per
-    // coordinate instead of 4. Scalar reference: the portable integer
-    // fallback in the same blocked shape.
-    type SqDist4I8Ref<'a> = &'a dyn Fn(&[u8], &[u8], &[u8], &[u8], &[u8]) -> [u32; 4];
-    let code_rows: Vec<u8> = (0..ROWS * D).map(|i| (i * 37 % 256) as u8).collect();
-    let qcode: Vec<u8> = (0..D).map(|i| (i * 91 % 256) as u8).collect();
-    let sqd4_i8 = |f: SqDist4I8Ref| -> f64 {
-        per_row(ns_per_op(|| {
-            let mut s = [0u32; 4];
-            let mut i = 0;
-            while i + 4 <= ROWS {
-                let base = i * D;
-                let r = f(
-                    &code_rows[base..base + D],
-                    &code_rows[base + D..base + 2 * D],
-                    &code_rows[base + 2 * D..base + 3 * D],
-                    &code_rows[base + 3 * D..base + 4 * D],
-                    std::hint::black_box(&qcode),
-                );
-                s[0] = s[0].wrapping_add(r[0]);
-                s[1] = s[1].wrapping_add(r[1]);
-                s[2] = s[2].wrapping_add(r[2]);
-                s[3] = s[3].wrapping_add(r[3]);
-                i += 4;
-            }
-            s
-        }))
-    };
-    let sqd4_i8_simd = sqd4_i8(&|a0, a1, a2, a3, b| sq_dist4_i8(a0, a1, a2, a3, b));
-    let sqd4_i8_scalar = sqd4_i8(&scalar::sq_dist4_i8);
     let sqn_simd = per_row(ns_per_op(|| sweep1(&|x| sq_norm2(x))));
     let sqn_scalar = per_row(ns_per_op(|| sweep1(&scalar::sq_norm2)));
     let n1_simd = per_row(ns_per_op(|| sweep1(&|x| norm1(x))));
@@ -323,8 +290,6 @@ fn main() {
         ("sq_dist_128d_scalar", sqd_scalar),
         ("sq_dist_128d (scan shape, sq_dist4-blocked)", sqd4_simd),
         ("sq_dist_128d_scalar (scan shape)", sqd4_scalar),
-        ("sq_dist_128d_i8 (SQ8 filter shape)", sqd4_i8_simd),
-        ("sq_dist_128d_i8_scalar (SQ8 filter shape)", sqd4_i8_scalar),
         ("sq_norm2_128d", sqn_simd),
         ("sq_norm2_128d_scalar", sqn_scalar),
         ("norm1_128d", n1_simd),
@@ -467,95 +432,6 @@ fn main() {
     }));
     println!("  scan_arena (per record): {arena_scan_ns:.1} ns");
     println!("  scan_legacy_decode (per record): {legacy_scan_ns:.1} ns");
-
-    // --- quantized two-level scan vs pure-f32 scan --------------------------
-    // The deployed annulus entry point (`range_candidates_into`) over two
-    // builds of the same data: the default quantized index (u8 filter tier,
-    // survivor blocks re-tested in f32) and a `quantize: false` twin (pure
-    // f32 scan — the pre-quantization deployed path). Identical layout and
-    // seeds, so both scan the same sub-partitions; the outputs are asserted
-    // identical, making the speedup an equal-output comparison. Page counts
-    // are cold-cache logical reads for one query: the quantized pass reads
-    // the m-byte code column and only surviving blocks' f32 records instead
-    // of every (8 + 4m)-byte record.
-    let scan_cfg_f32 = IDistanceConfig {
-        quantize: false,
-        ..scan_cfg.clone()
-    };
-    let scan_pager_f32 = Arc::new(Pager::in_memory(4096, 1 << 16));
-    let scan_idx_f32 =
-        build_index(scan_pager_f32, &scan_data, &scan_orig, &scan_cfg_f32).expect("f32 scan index");
-    assert!(scan_idx.quantized() && !scan_idx_f32.quantized());
-    let mut out_q: Vec<RangeCandidate> = Vec::new();
-    let mut out_f: Vec<RangeCandidate> = Vec::new();
-    scan_idx
-        .range_candidates_into(&scan_q, r_lo, r_hi, &mut out_q, &mut proj)
-        .unwrap();
-    scan_idx_f32
-        .range_candidates_into(&scan_q, r_lo, r_hi, &mut out_f, &mut proj)
-        .unwrap();
-    assert_eq!(out_q, out_f, "two-level scan must match the pure-f32 scan");
-    // Two annulus regimes: `dense` (the `scan` section's window, ~5% of the
-    // dataset in the annulus — a CPU-throughput stress where nearly every
-    // 4-row block holds a survivor) and `selective` (~0.1%, the regime the
-    // deployed search actually runs in: the Quick-Probe radius targets the
-    // k nearest projected neighbours, so true candidates are rare and the
-    // quantized filter skips whole f32 record pages — the paper's
-    // page-access regime, fig. 7).
-    let mut quant_windows: Vec<(String, Json)> = Vec::new();
-    for (window, w_lo, w_hi) in [("dense", r_lo, r_hi), ("selective", -1.0, 2.8)] {
-        scan_idx
-            .range_candidates_into(&scan_q, w_lo, w_hi, &mut out_q, &mut proj)
-            .unwrap();
-        scan_idx_f32
-            .range_candidates_into(&scan_q, w_lo, w_hi, &mut out_f, &mut proj)
-            .unwrap();
-        assert_eq!(out_q, out_f, "two-level scan must match the pure-f32 scan");
-        let cands = out_q.len();
-        let quant_ns = per_record(ns_per_op(|| {
-            scan_idx
-                .range_candidates_into(&scan_q, w_lo, w_hi, &mut out_q, &mut proj)
-                .unwrap();
-            out_q.len()
-        }));
-        let f32_ns = per_record(ns_per_op(|| {
-            scan_idx_f32
-                .range_candidates_into(&scan_q, w_lo, w_hi, &mut out_f, &mut proj)
-                .unwrap();
-            out_f.len()
-        }));
-        let mut cold_pages = |idx: &promips_idistance::IDistanceIndex,
-                              out: &mut Vec<RangeCandidate>| {
-            idx.pager().clear_cache();
-            idx.pager().stats().reset();
-            idx.range_candidates_into(&scan_q, w_lo, w_hi, out, &mut proj)
-                .unwrap();
-            idx.access_stats().logical_reads
-        };
-        let quant_pages = cold_pages(&scan_idx, &mut out_q);
-        let f32_pages = cold_pages(&scan_idx_f32, &mut out_f);
-        println!(
-            "  scan_{window} ({cands} candidates): quantized {quant_ns:.1} ns/record \
-             ({quant_pages} pages), f32 {f32_ns:.1} ns/record ({f32_pages} pages)"
-        );
-        quant_windows.push((
-            window.to_string(),
-            Json::obj(vec![
-                ("r_lo", Json::Num(w_lo)),
-                ("r_hi", Json::Num(w_hi)),
-                ("candidates", Json::Num(cands as f64)),
-                ("quantized_ns_per_record", Json::Num(quant_ns)),
-                ("f32_ns_per_record", Json::Num(f32_ns)),
-                ("speedup", Json::Num(f32_ns / quant_ns)),
-                ("quantized_pages_per_query", Json::Num(quant_pages as f64)),
-                ("f32_pages_per_query", Json::Num(f32_pages as f64)),
-                (
-                    "pages_saved_frac",
-                    Json::Num(1.0 - quant_pages as f64 / f32_pages as f64),
-                ),
-            ]),
-        ));
-    }
 
     // --- pager contention: single-mutex pool vs lock-striped pool -----------
     // Four threads hammer a shared pager whose pool holds half the pages, so
@@ -1217,7 +1093,6 @@ fn main() {
                 ("dot_single", pair(dot_single_simd, dot_single_scalar)),
                 ("sq_dist", pair(sqd_simd, sqd_scalar)),
                 ("sq_dist4", pair(sqd4_simd, sqd4_scalar)),
-                ("sq_dist4_i8", pair(sqd4_i8_simd, sqd4_i8_scalar)),
                 ("sq_norm2", pair(sqn_simd, sqn_scalar)),
                 ("norm1", pair(n1_simd, n1_scalar)),
             ]),
@@ -1241,19 +1116,6 @@ fn main() {
                 ("legacy_decode_ns_per_record", Json::Num(legacy_scan_ns)),
                 ("speedup", Json::Num(legacy_scan_ns / arena_scan_ns)),
             ]),
-        ),
-        (
-            "quantized_scan",
-            Json::Obj(
-                vec![
-                    ("n".to_string(), Json::Num(scan_n as f64)),
-                    ("m".to_string(), Json::Num(scan_m as f64)),
-                    ("subparts".to_string(), Json::Num(n_subs as f64)),
-                ]
-                .into_iter()
-                .chain(quant_windows.clone())
-                .collect(),
-            ),
         ),
         (
             "pager_contention",

@@ -43,11 +43,10 @@ impl Value {
 /// Extending the bench emitter means extending this list, which forces the
 /// artifact to be regenerated in the same PR.
 pub const REQUIRED_SECTIONS: &[(&str, &[&str])] = &[
-    ("kernels", &["dot", "sq_dist4", "sq_dist4_i8"]),
+    ("kernels", &["dot", "sq_dist4"]),
     ("backends", &["scalar"]),
     ("project", &["single", "dataset_2000"]),
     ("scan", &["arena_ns_per_record", "speedup"]),
-    ("quantized_scan", &["dense", "selective"]),
     ("pager_contention", &["striped_ns_per_read"]),
     ("search", &["sequential_ns_per_query"]),
     ("sharded_fanout", &["per_shard_count"]),
@@ -285,7 +284,7 @@ mod tests {
     fn check_reports_missing_sections() {
         let err = check_bench_schema(r#"{"schema": "promips-bench-kernels-v2", "kernels": {}}"#)
             .unwrap_err();
-        assert!(err.contains("\"quantized_scan\" absent"), "{err}");
+        assert!(err.contains("\"scan\" absent"), "{err}");
         assert!(err.contains("lacks field \"dot\""), "{err}");
         let err = check_bench_schema(r#"{"schema": "promips-bench-kernels-v1"}"#).unwrap_err();
         assert!(err.contains("promips-bench-kernels-v2"), "{err}");

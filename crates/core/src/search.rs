@@ -34,9 +34,7 @@ pub struct SearchScratch {
     /// Range-search candidates, grouped by sub-partition.
     cands: Vec<RangeCandidate>,
     /// Projected-record decode arena for the annulus scan and the
-    /// Quick-Probe located-point read (id column + flat `f32` rows), which
-    /// also carries the quantized-stage buffers (code column, quantized
-    /// query, surviving blocks) of the SQ8 two-level filter.
+    /// Quick-Probe located-point read (id column + flat `f32` rows).
     proj: ProjScratch,
     /// Buffers for batched original-vector verification.
     fetch: FetchBuffers,
@@ -1173,46 +1171,6 @@ mod tests {
         assert!(res.items.windows(2).all(|w| w[0].ip >= w[1].ip));
         assert!(res.verified >= 10);
         assert!(res.probe_radius.is_some());
-    }
-
-    #[test]
-    fn quantized_tier_keeps_topk_bit_identical() {
-        // The SQ8 filter tier pads its radii by the quantization error
-        // bound and re-tests survivors through the same f32 kernels, so a
-        // search against a quantized index must return *exactly* what the
-        // pure-f32 index returns: same items, same inner-product bits,
-        // same verified count, same termination — across k and queries.
-        let data = random_data(900, 24, 67);
-        let mk = |quantize: bool| {
-            let id_cfg = promips_idistance::IDistanceConfig {
-                quantize,
-                ..Default::default()
-            };
-            let cfg = ProMipsConfig::builder()
-                .c(0.9)
-                .p(0.5)
-                .seed(67 ^ 0xABCD)
-                .idistance(id_cfg)
-                .build();
-            ProMips::build_in_memory(&data, cfg).unwrap()
-        };
-        let quant = mk(true);
-        let plain = mk(false);
-        assert!(quant.idistance().quantized());
-        assert!(!plain.idistance().quantized());
-        let mut rng = Xoshiro256pp::seed_from_u64(71);
-        let mut scratch = SearchScratch::new();
-        for round in 0..12 {
-            let k = 1 + round % 10;
-            let q: Vec<f32> = (0..24).map(|_| rng.normal() as f32).collect();
-            let a = quant.search_with_scratch(&q, k, &mut scratch).unwrap();
-            let b = plain.search(&q, k).unwrap();
-            assert_eq!(a.items, b.items, "k={k}");
-            assert_eq!(a.verified, b.verified, "k={k}");
-            assert_eq!(a.termination, b.termination, "k={k}");
-            assert_eq!(a.probe_radius, b.probe_radius, "k={k}");
-            assert_eq!(a.final_radius, b.final_radius, "k={k}");
-        }
     }
 
     #[test]

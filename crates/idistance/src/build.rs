@@ -19,7 +19,7 @@ use promips_storage::Pager;
 use crate::config::IDistanceConfig;
 use crate::index::IDistanceIndex;
 use crate::layout::{enc, RegionWriter};
-use crate::meta::{OrigQuant, PartitionMeta, SubPartMeta, SubPartQuant};
+use crate::meta::{OrigQuant, PartitionMeta, SubPartMeta};
 
 /// Builds an [`IDistanceIndex`] over `proj` (n × m projected points) and
 /// `orig` (n × d original points) inside `pager`.
@@ -155,66 +155,13 @@ pub fn build_index(
     }
     let orig_region = writer.finish()?;
 
-    // --- Packed SQ8 quantized region (format v2). ---------------------------
-    // Each sub-partition's projected rows are scalar-quantized to u8 codes
-    // with one affine (min, scale) per sub-partition; the exact
-    // dequantization error bound max ‖x − x̂‖ is computed here so the
-    // two-level scan can pad the annulus radii and never drop a true
-    // candidate. Codes are m bytes per record (no id column) in the same
-    // record order as the projected region — the quantized filter touches a
-    // quarter of the bytes the f32 scan would.
-    let mut quants: Vec<SubPartQuant> = Vec::new();
-    let mut quant_region = None;
-    if config.quantize {
-        quants.reserve(defs.len());
-        let mut writer = RegionWriter::new(&pager);
-        let mut rec = Vec::with_capacity(m);
-        for def in &defs {
-            let mut lo = f32::INFINITY;
-            let mut hi = f32::NEG_INFINITY;
-            for &id in &def.ids {
-                for &x in proj.row(id) {
-                    lo = lo.min(x);
-                    hi = hi.max(x);
-                }
-            }
-            // Degenerate sub-partitions (single repeated value) quantize
-            // exactly with any positive step: every code is 0, x̂ = min.
-            let scale = if hi > lo { (hi - lo) / 255.0 } else { 1.0 };
-            let inv_scale = 1.0 / scale;
-            let mut err_sq_max = 0.0f64;
-            let mut first = None;
-            for &id in &def.ids {
-                rec.clear();
-                let mut err_sq = 0.0f64;
-                for &x in proj.row(id) {
-                    let code = ((x - lo) * inv_scale).round().clamp(0.0, 255.0) as u8;
-                    rec.push(code);
-                    let e = x as f64 - (lo as f64 + scale as f64 * code as f64);
-                    err_sq += e * e;
-                }
-                err_sq_max = err_sq_max.max(err_sq);
-                let off = writer.append(&rec)?;
-                first.get_or_insert(off);
-            }
-            quants.push(SubPartQuant {
-                off: first.expect("sub-partition is non-empty"),
-                scale,
-                min: lo,
-                // Round the f32 narrowing up so the stored bound stays an
-                // upper bound (1e-6 relative dwarfs the f32 epsilon).
-                err: (err_sq_max.sqrt() * (1.0 + 1e-6)) as f32,
-            });
-        }
-        quant_region = Some(writer.finish()?);
-    }
-
     // --- Packed SQ8 verification-quant region (format v3). ------------------
-    // Same scheme over the **original** d-dim rows: one affine quantizer per
-    // sub-partition, d code bytes per record in original-region order. The
-    // verification screen needs two bounds per sub-partition — max ‖x − x̂‖
-    // (data-side error) and max ‖x̂‖ (the factor on the query-side error) —
-    // both computed exactly here in f64 and rounded up into f32.
+    // The original d-dim rows are scalar-quantized to u8 codes with one
+    // affine (min, scale) per sub-partition, d code bytes per record in
+    // original-region order. The verification screen needs two bounds per
+    // sub-partition — max ‖x − x̂‖ (data-side error) and max ‖x̂‖ (the factor
+    // on the query-side error) — both computed exactly here in f64 and
+    // rounded up into f32.
     let mut vquants: Vec<OrigQuant> = Vec::new();
     let mut vquant_region = None;
     if config.verify_quantize {
@@ -230,6 +177,8 @@ pub fn build_index(
                     hi = hi.max(x);
                 }
             }
+            // Degenerate sub-partitions (single repeated value) quantize
+            // exactly with any positive step: every code is 0, x̂ = min.
             let scale = if hi > lo { (hi - lo) / 255.0 } else { 1.0 };
             let inv_scale = 1.0 / scale;
             let mut err_sq_max = 0.0f64;
@@ -293,11 +242,9 @@ pub fn build_index(
         ring_c,
         proj_region,
         orig_region,
-        quant_region,
         vquant_region,
         partitions,
         subparts,
-        quants,
         vquants,
         n as u64,
     );

@@ -14,26 +14,16 @@ pub struct IDistanceConfig {
     pub kmeans_iters: usize,
     /// Seed for the clustering RNG.
     pub seed: u64,
-    /// Whether to build the SQ8 quantized filter tier: a dense u8 code
-    /// column per sub-partition (1 byte per projected coordinate instead of
-    /// 4) that the annulus scan filters first, decoding only surviving
-    /// 4-row blocks through the exact f32 path. The quantized filter is
-    /// padded by the per-sub-partition quantization error bound, so scan
-    /// results are **bit-identical** with the tier on or off — `false` only
-    /// trades scan speed for a slightly smaller file (and writes the
-    /// version-1 on-disk format, which current builds can still open).
-    pub quantize: bool,
     /// Whether to build the SQ8 verification tier: a dense u8 code column
     /// over the **original** d-dim vectors (one affine quantizer per
-    /// sub-partition, like `quantize`'s projected-space column) that the
-    /// verification path screens with integer kernels before fetching f32
-    /// rows — only candidate blocks whose quantized inner product plus the
-    /// exact error-bound padding can still reach the running top-k are
-    /// rescored exactly. Screening never drops a true top-k member, so
-    /// search results are **bit-identical** with the tier on or off;
-    /// `false` trades verification speed for a smaller file. Builds with
-    /// this tier write the version-3 on-disk format (v1/v2 files still
-    /// open, verifying pure-f32).
+    /// sub-partition) that the verification path screens with integer
+    /// kernels before fetching f32 rows — only candidate blocks whose
+    /// quantized inner product plus the exact error-bound padding can still
+    /// reach the running top-k are rescored exactly. Screening never drops
+    /// a true top-k member, so search results are **bit-identical** with
+    /// the tier on or off; `false` trades verification speed for a smaller
+    /// file. Builds with this tier write the version-3 on-disk format,
+    /// builds without it version 1 (v1/v2 files open and verify pure-f32).
     pub verify_quantize: bool,
 }
 
@@ -45,7 +35,6 @@ impl Default for IDistanceConfig {
             ksp: 10,
             kmeans_iters: 20,
             seed: 0x1D15_7A4C,
-            quantize: true,
             verify_quantize: true,
         }
     }

@@ -4,29 +4,31 @@ use std::io;
 use std::sync::Arc;
 
 use promips_btree::BTree;
-use promips_linalg::{dist, scalar, sq_dist, sq_dist4, sq_dist4_i8};
+use promips_linalg::{dist, sq_dist, sq_dist4};
 use promips_storage::{AccessStatsSnapshot, PageBuf, PageId, Pager};
 
 use crate::knn::NnIter;
 use crate::layout::{enc, read_blob, read_blob_range, write_blob};
-use crate::meta::{OrigQuant, PartitionMeta, SubPartMeta, SubPartQuant};
+use crate::meta::{OrigQuant, PartitionMeta, SubPartMeta};
 
 /// A packed byte region: `(start_page, byte_len)`; pages are consecutive.
 pub type Region = (PageId, u64);
 
-/// Format v1: projected + original regions only (no quantized tier).
+/// Format v1: projected + original regions only (no verification tier).
 const FOOTER_MAGIC: u64 = 0x1D15_7A4C_E01D_F007;
-/// Format v2: v1 plus the SQ8 quantized region and its per-sub-partition
-/// quantizer directory. [`IDistanceIndex::open_at`] accepts both; v1 files
-/// simply open with the quantized filter tier disabled.
+/// Format v2 (read-only): v1 plus a legacy SQ8 scan-code region over the
+/// projected records and its per-sub-partition quantizer directory. Older
+/// builds wrote it for a quantized annulus-scan tier that no longer
+/// exists; [`IDistanceIndex::open_at`] skips both and opens the file as v1.
 const FOOTER_MAGIC_V2: u64 = 0x1D15_7A4C_E01D_F008;
-/// Format v3: v2 plus the SQ8 **verification** code column over original
-/// vectors. The footer layout is unchanged (17 fields — the scan-quant
-/// region slots hold [`REGION_ABSENT`] when `quantize: false`); the
-/// verification region and its [`OrigQuant`] directory ride the directory
-/// blob, so the footer's page span stays version-independent and v1/v2
-/// files keep opening. v1/v2 files open with the verification tier
-/// disabled (pure-f32 verification).
+/// Format v3: v1 plus the SQ8 **verification** code column over original
+/// vectors. The footer keeps v2's two scan-code region slots (17 fields):
+/// the writer fills them with [`REGION_ABSENT`], while files from older
+/// builds may name a scan-code region there, whose directory the reader
+/// skips. The verification region and its [`OrigQuant`] directory ride the
+/// directory blob, so the footer's page span stays version-independent.
+/// v1/v2 files open with the verification tier disabled (pure-f32
+/// verification).
 const FOOTER_MAGIC_V3: u64 = 0x1D15_7A4C_E01D_F009;
 
 /// Sentinel start-page marking an absent region inside a v3 footer (a real
@@ -34,12 +36,16 @@ const FOOTER_MAGIC_V3: u64 = 0x1D15_7A4C_E01D_F009;
 /// space).
 const REGION_ABSENT: u64 = u64::MAX;
 
+/// Encoded size of one legacy scan-quant directory entry (v2 files and
+/// older v3 files): a `u64` code offset plus `f32` scale, min and error
+/// bound. The reader skips these entries without decoding them.
+const LEGACY_SCAN_QUANT_BYTES: usize = 8 + 3 * 4;
+
 /// Fixed on-disk footer length: the 17 8-byte fields of a v2/v3 footer. v1
 /// footers (15 fields) are zero-padded to the same length, so the footer's
 /// page span is version-independent and callers can locate its start
 /// without knowing the version (see [`footer_span_pages`]). For any page
-/// size ≥ 136 this is one zero-padded page — byte-identical to the
-/// pre-quantization single-page footer; smaller (test-only) page sizes
+/// size ≥ 136 this is one zero-padded page; smaller (test-only) page sizes
 /// spill onto consecutive pages instead of silently truncating.
 const FOOTER_BYTES: usize = 17 * 8;
 
@@ -72,22 +78,12 @@ pub struct RangeCandidate {
 /// [`IDistanceIndex::read_subpart_proj_into`] call clears and refills it, so
 /// buffers grow to the largest sub-partition seen and are never reallocated
 /// afterwards. This is what makes the annulus range scan allocation-free on
-/// its steady-state path — the legacy `Vec<(u64, Vec<f32>)>` decode paid one
-/// heap allocation per record.
+/// its steady-state path.
 #[derive(Debug, Default)]
 pub struct ProjScratch {
     ids: Vec<u64>,
     rows: Vec<f32>,
     m: usize,
-    /// Quantized-stage buffers (SQ8 filter tier): the current
-    /// sub-partition's u8 code column, the query quantized into the
-    /// sub-partition's code space, and the 4-row block indices that
-    /// survived the integer filter. Like the f32 arena, these grow to the
-    /// largest sub-partition seen and are never reallocated afterwards, so
-    /// the quantized pass is allocation-free at steady state.
-    codes: Vec<u8>,
-    qcodes: Vec<u8>,
-    qblocks: Vec<u32>,
 }
 
 impl ProjScratch {
@@ -175,9 +171,10 @@ impl ProjScratch {
 
 /// A cursor over one packed byte region: fetches covering pages on demand,
 /// caches the current page across ranges, and hands the caller maximal
-/// in-page byte chunks. Both record decoders ([`IDistanceIndex::
-/// fetch_originals`] and the projected-record decoder) walk their ranges
-/// through this, so the page-boundary discipline lives in one place.
+/// in-page byte chunks. Every record decoder ([`IDistanceIndex::
+/// fetch_originals`], [`IDistanceIndex::fetch_codes`] and the
+/// projected-record decoder) walks its ranges through this, so the
+/// page-boundary discipline lives in one place.
 struct PageCursor<'a> {
     pager: &'a Pager,
     region_start: PageId,
@@ -227,18 +224,12 @@ pub struct IDistanceIndex {
     ring_c: u64,
     proj_region: Region,
     orig_region: Region,
-    /// The packed SQ8 code region (format v2); `None` on v1 files and
-    /// `quantize: false` builds, which scan through the f32 path alone.
-    quant_region: Option<Region>,
     /// The packed SQ8 verification code region over original vectors
     /// (format v3); `None` on v1/v2 files and `verify_quantize: false`
     /// builds, which verify through the f32 path alone.
     vquant_region: Option<Region>,
     partitions: Vec<PartitionMeta>,
     subparts: Vec<SubPartMeta>,
-    /// Per-sub-partition quantizers, parallel to `subparts` (empty when
-    /// `quant_region` is `None`).
-    quants: Vec<SubPartQuant>,
     /// Per-sub-partition verification quantizers, parallel to `subparts`
     /// (empty when `vquant_region` is `None`).
     vquants: Vec<OrigQuant>,
@@ -257,22 +248,12 @@ impl IDistanceIndex {
         ring_c: u64,
         proj_region: Region,
         orig_region: Region,
-        quant_region: Option<Region>,
         vquant_region: Option<Region>,
         partitions: Vec<PartitionMeta>,
         subparts: Vec<SubPartMeta>,
-        quants: Vec<SubPartQuant>,
         vquants: Vec<OrigQuant>,
         n_points: u64,
     ) -> Self {
-        debug_assert!(
-            if quant_region.is_some() {
-                quants.len() == subparts.len()
-            } else {
-                quants.is_empty()
-            },
-            "quantizer directory must parallel the sub-partition directory"
-        );
         debug_assert!(
             if vquant_region.is_some() {
                 vquants.len() == subparts.len()
@@ -290,11 +271,9 @@ impl IDistanceIndex {
             ring_c,
             proj_region,
             orig_region,
-            quant_region,
             vquant_region,
             partitions,
             subparts,
-            quants,
             vquants,
             n_points,
         }
@@ -363,22 +342,6 @@ impl IDistanceIndex {
     /// The packed original-record region `(start_page, byte_len)`.
     pub fn orig_region(&self) -> Region {
         self.orig_region
-    }
-
-    /// The packed SQ8 code region, if the quantized filter tier is built.
-    pub fn quant_region(&self) -> Option<Region> {
-        self.quant_region
-    }
-
-    /// Whether the annulus scan runs the two-level quantized filter.
-    pub fn quantized(&self) -> bool {
-        self.quant_region.is_some()
-    }
-
-    /// Per-sub-partition quantizers (parallel to [`Self::subparts`]; empty
-    /// when the quantized tier is absent).
-    pub fn quants(&self) -> &[SubPartQuant] {
-        &self.quants
     }
 
     /// The packed SQ8 verification code region over original vectors, if
@@ -461,14 +424,9 @@ impl IDistanceIndex {
         Ok(())
     }
 
-    /// Scans one sub-partition, appending candidates in the annulus. With
-    /// the quantized tier present this is the two-level path (integer
-    /// filter, then exact f32 re-test of surviving blocks); otherwise one
-    /// arena decode plus the blocked `sq_dist4` filter over four contiguous
-    /// rows at a time. Both paths emit **identical** candidates: the
-    /// quantized filter is padded by the sub-partition's quantization error
-    /// bound so it never drops a true candidate, and survivors' distances
-    /// come from the same f32 kernels over the same 4-row blocks.
+    /// Scans one sub-partition, appending candidates in the annulus: one
+    /// arena decode, then the blocked `sq_dist4` filter over four
+    /// contiguous rows at a time (see [`ProjScratch::for_each_dist`]).
     fn scan_subpart(
         &self,
         sub: u32,
@@ -478,9 +436,6 @@ impl IDistanceIndex {
         out: &mut Vec<RangeCandidate>,
         scratch: &mut ProjScratch,
     ) -> io::Result<()> {
-        if self.quant_region.is_some() {
-            return self.scan_subpart_quantized(sub, pq, r_lo, r_hi, out, scratch);
-        }
         self.read_subpart_proj_into(sub, scratch)?;
         scratch.for_each_dist(pq, |offset, id, pd| {
             if pd > r_lo && pd <= r_hi {
@@ -492,174 +447,6 @@ impl IDistanceIndex {
                 });
             }
         });
-        Ok(())
-    }
-
-    /// Two-level quantized scan of one sub-partition.
-    ///
-    /// **Level 1 (integer):** the sub-partition's u8 code column (1 byte
-    /// per coordinate — a quarter of the f32 record bytes, and no id
-    /// column) is filtered with the blocked [`sq_dist4_i8`] kernel against
-    /// the query quantized into the sub-partition's code space. A code-space
-    /// distance `Dq = scale·√(Σ (aⱼ−bⱼ)²)` is the exact distance between
-    /// the *dequantized* row and the *dequantized* query, so by two triangle
-    /// inequalities the true distance satisfies `|pd − Dq| ≤ err_total`
-    /// where `err_total = err_subpart + err_query` (the stored build-time
-    /// dequantization bound plus the query's own quantization error,
-    /// computed exactly per call — which also covers query coordinates
-    /// clamped outside the code range). Rows are kept when `Dq` falls in
-    /// the annulus **padded by `err_total`**, so no true candidate is ever
-    /// dropped; comparisons happen in the squared domain with a relative
-    /// 1e-9 inflation that swamps the few-ulp f64 rounding differences
-    /// between this filter and the exact kernel.
-    ///
-    /// **Level 2 (exact):** only 4-row blocks containing at least one
-    /// survivor are decoded from the f32 projected region and re-tested
-    /// with the same blocked `sq_dist4` (tail rows: single-row `sq_dist`)
-    /// the full scan uses — identical block shapes, hence bit-identical
-    /// distances. Quantized non-survivors inside a surviving block are
-    /// guaranteed by the bound to fail the exact test, so re-testing the
-    /// whole block changes nothing and keeps the kernel shape fixed.
-    fn scan_subpart_quantized(
-        &self,
-        sub: u32,
-        pq: &[f32],
-        r_lo: f64,
-        r_hi: f64,
-        out: &mut Vec<RangeCandidate>,
-        scratch: &mut ProjScratch,
-    ) -> io::Result<()> {
-        let sp = &self.subparts[sub as usize];
-        let qt = &self.quants[sub as usize];
-        let m = self.m;
-        let count = sp.count as usize;
-        let (quant_start, _) = self.quant_region.expect("quantized scan requires the tier");
-
-        let ProjScratch {
-            ids,
-            rows,
-            m: scratch_m,
-            codes,
-            qcodes,
-            qblocks,
-        } = scratch;
-        *scratch_m = m;
-        ids.clear();
-        rows.clear();
-
-        // --- Quantize the query; measure its quantization error exactly. --
-        let scale = qt.scale as f64;
-        let min = qt.min as f64;
-        qcodes.clear();
-        qcodes.reserve(m);
-        let mut q_err_sq = 0.0f64;
-        for &x in pq {
-            let code = ((x as f64 - min) / scale).round().clamp(0.0, 255.0);
-            qcodes.push(code as u8);
-            let e = x as f64 - (min + scale * code);
-            q_err_sq += e * e;
-        }
-        let err_total = (qt.err as f64 + q_err_sq.sqrt()) * (1.0 + 1e-9);
-
-        // Padded squared thresholds in the code-distance domain: keep when
-        // lo2 < D²·scale² ≤ hi2 (lower test skipped for ball queries).
-        let scale2 = scale * scale;
-        let hi_thr = r_hi + err_total;
-        let hi2 = hi_thr * hi_thr * (1.0 + 1e-9);
-        let lo_thr = r_lo - err_total;
-        let lo2 = if lo_thr > 0.0 {
-            lo_thr * lo_thr * (1.0 - 1e-9)
-        } else {
-            -1.0
-        };
-        let in_window = |d2_codes: u32| {
-            let d2 = d2_codes as f64 * scale2;
-            d2 > lo2 && d2 <= hi2
-        };
-
-        // --- Level 1: integer filter over the code column. -----------------
-        codes.clear();
-        codes.reserve(count * m);
-        let mut pages = PageCursor::new(&self.pager, quant_start);
-        pages.walk(qt.off as usize, count * m, |chunk| {
-            codes.extend_from_slice(chunk)
-        })?;
-
-        qblocks.clear();
-        let full_blocks = count / 4;
-        for b in 0..full_blocks {
-            let base = b * 4 * m;
-            let d2 = sq_dist4_i8(
-                &codes[base..base + m],
-                &codes[base + m..base + 2 * m],
-                &codes[base + 2 * m..base + 3 * m],
-                &codes[base + 3 * m..base + 4 * m],
-                qcodes,
-            );
-            if d2.iter().copied().any(in_window) {
-                qblocks.push(b as u32);
-            }
-        }
-        let tail_start = full_blocks * 4;
-        let tail_survives = (tail_start..count)
-            .any(|i| in_window(scalar::sq_dist_i8(&codes[i * m..(i + 1) * m], qcodes)));
-
-        // --- Level 2: exact re-test of surviving blocks only. --------------
-        let rec = 8 + 4 * m;
-        let mut pages = PageCursor::new(&self.pager, self.proj_region.0);
-        for &b in qblocks.iter() {
-            let p = ids.len();
-            Self::decode_proj_fields(
-                &mut pages,
-                sp.proj_off as usize + b as usize * 4 * rec,
-                4,
-                m,
-                ids,
-                rows,
-            )?;
-            let base = p * m;
-            let d2 = sq_dist4(
-                &rows[base..base + m],
-                &rows[base + m..base + 2 * m],
-                &rows[base + 2 * m..base + 3 * m],
-                &rows[base + 3 * m..base + 4 * m],
-                pq,
-            );
-            for (j, &v) in d2.iter().enumerate() {
-                let pd = v.sqrt();
-                if pd > r_lo && pd <= r_hi {
-                    out.push(RangeCandidate {
-                        id: ids[p + j],
-                        proj_dist: pd,
-                        subpart: sub,
-                        offset: b * 4 + j as u32,
-                    });
-                }
-            }
-        }
-        if tail_survives {
-            let p = ids.len();
-            Self::decode_proj_fields(
-                &mut pages,
-                sp.proj_off as usize + tail_start * rec,
-                count - tail_start,
-                m,
-                ids,
-                rows,
-            )?;
-            for (j, offset) in (tail_start..count).enumerate() {
-                let base = (p + j) * m;
-                let pd = sq_dist(&rows[base..base + m], pq).sqrt();
-                if pd > r_lo && pd <= r_hi {
-                    out.push(RangeCandidate {
-                        id: ids[p + j],
-                        proj_dist: pd,
-                        subpart: sub,
-                        offset: offset as u32,
-                    });
-                }
-            }
-        }
         Ok(())
     }
 
@@ -686,46 +473,26 @@ impl IDistanceIndex {
     }
 
     /// Streams `count` projected records starting at byte `start` of the
-    /// projected region into `scratch`, straight from the covering pages.
+    /// projected region into `scratch`, straight from the covering pages,
+    /// appending to the id column and flat row arena. Fields (an 8-byte id,
+    /// then `m` 4-byte floats per record) may straddle page boundaries; a
+    /// partial field is staged in a small word buffer.
     fn decode_proj_records(
         &self,
         start: usize,
         count: usize,
         scratch: &mut ProjScratch,
     ) -> io::Result<()> {
-        let mut pages = PageCursor::new(&self.pager, self.proj_region.0);
-        Self::decode_proj_fields(
-            &mut pages,
-            start,
-            count,
-            self.m,
-            &mut scratch.ids,
-            &mut scratch.rows,
-        )
-    }
-
-    /// Decodes `count` projected records at byte `start` through a
-    /// caller-held [`PageCursor`], appending to the id column and flat row
-    /// arena. The quantized scan decodes several disjoint record runs of
-    /// one sub-partition through a single cursor, so a page shared by two
-    /// surviving blocks is still read once. Fields (an 8-byte id, then `m`
-    /// 4-byte floats per record) may straddle page boundaries; a partial
-    /// field is staged in a small word buffer.
-    fn decode_proj_fields(
-        pages: &mut PageCursor<'_>,
-        start: usize,
-        count: usize,
-        m: usize,
-        ids: &mut Vec<u64>,
-        rows: &mut Vec<f32>,
-    ) -> io::Result<()> {
+        let m = self.m;
         let rec = 8 + 4 * m;
+        let ProjScratch { ids, rows, .. } = scratch;
         // Field currently being assembled: `need` is 8 while expecting an
         // id, 4 while expecting one of the record's `floats_left` floats.
         let mut field = [0u8; 8];
         let mut have = 0usize;
         let mut need = 8usize;
         let mut floats_left = 0usize;
+        let mut pages = PageCursor::new(&self.pager, self.proj_region.0);
         pages.walk(start, count * rec, |mut chunk| {
             while !chunk.is_empty() {
                 // Bulk path: decode whole floats straight off the page.
@@ -862,7 +629,7 @@ impl IDistanceIndex {
     /// row is `d` bytes instead of `4d`, which is the point of the screen.
     ///
     /// # Panics
-    /// Panics in debug builds if the verification tier is absent.
+    /// Panics if the verification tier is absent.
     pub fn fetch_codes(&self, sub: u32, offsets: &[u32], arena: &mut Vec<u8>) -> io::Result<()> {
         let sp = &self.subparts[sub as usize];
         let vq = &self.vquants[sub as usize];
@@ -922,8 +689,7 @@ impl IDistanceIndex {
     /// Indexes carrying the verification tier write the v3 format (the
     /// verification region and its quantizer directory travel in the
     /// directory blob, keeping the footer's span version-independent);
-    /// scan-quantized-only indexes write v2; others write v1,
-    /// byte-identical to pre-quantization builds.
+    /// others write v1.
     pub(crate) fn write_footer(&self) -> io::Result<()> {
         let v3 = self.vquant_region.is_some();
         let mut dir = Vec::new();
@@ -934,12 +700,6 @@ impl IDistanceIndex {
         enc::put_u32(&mut dir, self.subparts.len() as u32);
         for s in &self.subparts {
             s.encode(&mut dir);
-        }
-        if self.quant_region.is_some() {
-            enc::put_u32(&mut dir, self.quants.len() as u32);
-            for q in &self.quants {
-                q.encode(&mut dir);
-            }
         }
         if let Some((vs, vl)) = self.vquant_region {
             enc::put_u64(&mut dir, vs);
@@ -953,16 +713,7 @@ impl IDistanceIndex {
 
         let ps = self.pager.page_size();
         let mut footer = Vec::with_capacity(ps);
-        enc::put_u64(
-            &mut footer,
-            if v3 {
-                FOOTER_MAGIC_V3
-            } else if self.quant_region.is_some() {
-                FOOTER_MAGIC_V2
-            } else {
-                FOOTER_MAGIC
-            },
-        );
+        enc::put_u64(&mut footer, if v3 { FOOTER_MAGIC_V3 } else { FOOTER_MAGIC });
         enc::put_u64(&mut footer, self.m as u64);
         enc::put_u64(&mut footer, self.d as u64);
         enc::put_f64(&mut footer, self.epsilon);
@@ -971,12 +722,9 @@ impl IDistanceIndex {
         enc::put_u64(&mut footer, self.proj_region.1);
         enc::put_u64(&mut footer, self.orig_region.0);
         enc::put_u64(&mut footer, self.orig_region.1);
-        if let Some((qs, ql)) = self.quant_region {
-            enc::put_u64(&mut footer, qs);
-            enc::put_u64(&mut footer, ql);
-        } else if v3 {
-            // A v3 footer always carries the two scan-quant slots so its
-            // field layout is fixed; absence is the sentinel.
+        if v3 {
+            // A v3 footer always carries the two legacy scan-code slots so
+            // its field layout is fixed; this writer leaves them absent.
             enc::put_u64(&mut footer, REGION_ABSENT);
             enc::put_u64(&mut footer, 0);
         }
@@ -1004,92 +752,86 @@ impl IDistanceIndex {
         let start = pager
             .num_pages()
             .checked_sub(footer_span_pages(pager.page_size()))
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty index file"))?;
+            .ok_or_else(|| invalid_data("empty index file"))?;
         Self::open_at(pager, start)
     }
 
     /// Reopens an index whose footer starts at a known page (used when
     /// other layers — e.g. the full ProMIPS persistence — append their own
     /// data after the iDistance footer).
+    ///
+    /// Accepts v1, v2 and v3 footers. A legacy scan-code region (v2 files,
+    /// and v3 files from builds that still wrote one) is skipped together
+    /// with its directory entries. The directory is decoded with bounds
+    /// checks, so a corrupt or truncated one is an
+    /// [`io::ErrorKind::InvalidData`] error, never a panic.
     pub fn open_at(pager: Arc<Pager>, footer_page: PageId) -> io::Result<Self> {
         let buf = read_blob_range(&pager, footer_page, 0, FOOTER_BYTES)?;
-        let buf = &buf[..];
-        let mut pos = 0;
-        let magic = enc::get_u64(buf, &mut pos);
-        let version = match magic {
+        let mut f = enc::Reader::new(&buf);
+        let version = match f.u64()? {
             FOOTER_MAGIC => 1,
             FOOTER_MAGIC_V2 => 2,
             FOOTER_MAGIC_V3 => 3,
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "bad iDistance footer magic",
-                ))
-            }
+            _ => return Err(invalid_data("bad iDistance footer magic")),
         };
-        let m = enc::get_u64(buf, &mut pos) as usize;
-        let d = enc::get_u64(buf, &mut pos) as usize;
-        let epsilon = enc::get_f64(buf, &mut pos);
-        let ring_c = enc::get_u64(buf, &mut pos);
-        let proj_region = (enc::get_u64(buf, &mut pos), enc::get_u64(buf, &mut pos));
-        let orig_region = (enc::get_u64(buf, &mut pos), enc::get_u64(buf, &mut pos));
-        let quant_region = if version >= 2 {
-            let qs = enc::get_u64(buf, &mut pos);
-            let ql = enc::get_u64(buf, &mut pos);
-            // v3 footers always carry the slots; sentinel means the scan
-            // tier was not built (v2 footers only exist when it was).
-            if qs == REGION_ABSENT {
-                None
-            } else {
-                Some((qs, ql))
-            }
-        } else {
-            None
+        let m = f.u64()? as usize;
+        let d = f.u64()? as usize;
+        let epsilon = f.f64()?;
+        let ring_c = f.u64()?;
+        let proj_region = (f.u64()?, f.u64()?);
+        let orig_region = (f.u64()?, f.u64()?);
+        // v2 footers always name a scan-code region; v3 footers carry the
+        // slots and mark absence with the sentinel.
+        let legacy_scan_codes = version >= 2 && {
+            let (start, _len) = (f.u64()?, f.u64()?);
+            start != REGION_ABSENT
         };
-        let dir_start = enc::get_u64(buf, &mut pos);
-        let dir_len = enc::get_u64(buf, &mut pos) as usize;
-        let tree_root = enc::get_u64(buf, &mut pos);
-        let tree_height = enc::get_u64(buf, &mut pos) as u32;
-        let tree_len = enc::get_u64(buf, &mut pos);
-        let n_points = enc::get_u64(buf, &mut pos);
+        let dir_start = f.u64()?;
+        let dir_len = f.u64()?;
+        let tree_root = f.u64()?;
+        let tree_height = f.u64()? as u32;
+        let tree_len = f.u64()?;
+        let n_points = f.u64()?;
 
-        let dir = read_blob(&pager, dir_start, dir_len)?;
-        let mut dpos = 0;
-        let n_parts = enc::get_u32(&dir, &mut dpos) as usize;
-        let partitions: Vec<PartitionMeta> = (0..n_parts)
-            .map(|_| PartitionMeta::decode(&dir, &mut dpos))
-            .collect();
-        let n_subs = enc::get_u32(&dir, &mut dpos) as usize;
-        let subparts: Vec<SubPartMeta> = (0..n_subs)
-            .map(|_| SubPartMeta::decode(&dir, &mut dpos))
-            .collect();
-        let quants: Vec<SubPartQuant> = if quant_region.is_some() {
-            let n_quants = enc::get_u32(&dir, &mut dpos) as usize;
-            if n_quants != n_subs {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "quantizer directory does not parallel the sub-partition directory",
+        // The builder writes the directory just before the footer; a length
+        // reaching past the footer is corrupt and is refused before a
+        // buffer is sized from it.
+        let dir_pages = dir_len.div_ceil(pager.page_size() as u64);
+        if dir_start
+            .checked_add(dir_pages)
+            .is_none_or(|end| end > footer_page)
+        {
+            return Err(invalid_data("iDistance directory overlaps the footer"));
+        }
+        let dir = read_blob(&pager, dir_start, dir_len as usize)?;
+        let mut r = enc::Reader::new(&dir);
+        let n_parts = r.u32()?;
+        let partitions = (0..n_parts)
+            .map(|_| PartitionMeta::decode(&mut r))
+            .collect::<io::Result<Vec<_>>>()?;
+        let n_subs = r.u32()? as usize;
+        let subparts = (0..n_subs)
+            .map(|_| SubPartMeta::decode(&mut r))
+            .collect::<io::Result<Vec<_>>>()?;
+        if legacy_scan_codes {
+            if r.u32()? as usize != n_subs {
+                return Err(invalid_data(
+                    "scan-quant directory does not parallel the sub-partition directory",
                 ));
             }
-            (0..n_quants)
-                .map(|_| SubPartQuant::decode(&dir, &mut dpos))
-                .collect()
-        } else {
-            Vec::new()
-        };
+            r.bytes(n_subs * LEGACY_SCAN_QUANT_BYTES)?;
+        }
         let (vquant_region, vquants) = if version >= 3 {
-            let region = (enc::get_u64(&dir, &mut dpos), enc::get_u64(&dir, &mut dpos));
-            let n_vquants = enc::get_u32(&dir, &mut dpos) as usize;
-            if n_vquants != n_subs {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
+            let region = (r.u64()?, r.u64()?);
+            if r.u32()? as usize != n_subs {
+                return Err(invalid_data(
                     "verification-quantizer directory does not parallel the sub-partition \
                      directory",
                 ));
             }
-            let vquants: Vec<OrigQuant> = (0..n_vquants)
-                .map(|_| OrigQuant::decode(&dir, &mut dpos))
-                .collect();
+            let vquants = (0..n_subs)
+                .map(|_| OrigQuant::decode(&mut r))
+                .collect::<io::Result<Vec<_>>>()?;
             (Some(region), vquants)
         } else {
             (None, Vec::new())
@@ -1105,15 +847,18 @@ impl IDistanceIndex {
             ring_c,
             proj_region,
             orig_region,
-            quant_region,
             vquant_region,
             partitions,
             subparts,
-            quants,
             vquants,
             n_points,
         ))
     }
+}
+
+/// An [`io::ErrorKind::InvalidData`] error for a malformed index file.
+fn invalid_data(msg: &'static str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 #[cfg(test)]
@@ -1342,16 +1087,12 @@ mod tests {
 
     #[test]
     fn persistence_roundtrip_keeps_quantized_tier() {
-        // The default build writes format v3; reopening must restore both
-        // quantized regions and their per-sub-partition quantizers exactly.
+        // The default build writes format v3; reopening must restore the
+        // verification region and its per-sub-partition quantizers exactly.
         let (idx, _, _) = build_small();
-        assert!(idx.quantized());
         assert!(idx.verify_quantized());
         let footer = idx.pager().num_pages() - footer_span_pages(idx.pager().page_size());
         let reopened = IDistanceIndex::open_at(Arc::clone(idx.pager()), footer).unwrap();
-        assert!(reopened.quantized());
-        assert_eq!(reopened.quant_region(), idx.quant_region());
-        assert_eq!(reopened.quants(), idx.quants());
         assert!(reopened.verify_quantized());
         assert_eq!(reopened.vquant_region(), idx.vquant_region());
         assert_eq!(reopened.vquants(), idx.vquants());
@@ -1383,8 +1124,6 @@ mod tests {
         let before = built.range_candidates(&pq, -1.0, 2.0).unwrap();
         let reopened = IDistanceIndex::open(pager).unwrap();
         assert_eq!(reopened.len(), 150);
-        assert!(reopened.quantized());
-        assert_eq!(reopened.quants(), built.quants());
         assert!(reopened.verify_quantized());
         assert_eq!(reopened.vquants(), built.vquants());
         assert_eq!(reopened.range_candidates(&pq, -1.0, 2.0).unwrap(), before);
@@ -1392,40 +1131,36 @@ mod tests {
 
     #[test]
     fn v1_format_files_open_without_quant_tier() {
-        // Both tiers off writes the v1 footer (byte-compatible with
-        // pre-quantization builds); open must accept it, run the pure-f32
-        // scan, and return the same candidates as a quantized twin.
+        // The verification tier off writes the v1 footer; open must accept
+        // it and return the same candidates as a v3 twin (the scan reads
+        // the same projected region either way).
         let proj = random_matrix(400, 5, 31);
         let orig = random_matrix(400, 12, 32);
         let cfg = IDistanceConfig {
             kp: 3,
             nkey: 6,
             ksp: 2,
-            quantize: false,
             verify_quantize: false,
             ..Default::default()
         };
         let pager = Arc::new(Pager::in_memory(512, 1 << 16));
         let v1 = build_index(Arc::clone(&pager), &proj, &orig, &cfg).unwrap();
-        assert!(!v1.quantized());
-        assert!(v1.quants().is_empty());
         assert!(!v1.verify_quantized());
         assert!(v1.vquants().is_empty());
         let reopened = IDistanceIndex::open(pager).unwrap();
-        assert!(!reopened.quantized());
         assert!(!reopened.verify_quantized());
 
-        let cfg_v2 = IDistanceConfig {
-            quantize: true,
+        let cfg_v3 = IDistanceConfig {
+            verify_quantize: true,
             ..cfg
         };
         let pager2 = Arc::new(Pager::in_memory(512, 1 << 16));
-        let v2 = build_index(pager2, &proj, &orig, &cfg_v2).unwrap();
+        let v3 = build_index(pager2, &proj, &orig, &cfg_v3).unwrap();
         let pq = vec![0.1f32; 5];
         for &(r_lo, r_hi) in &[(-1.0, 2.0), (0.8, 2.5)] {
             assert_eq!(
                 reopened.range_candidates(&pq, r_lo, r_hi).unwrap(),
-                v2.range_candidates(&pq, r_lo, r_hi).unwrap(),
+                v3.range_candidates(&pq, r_lo, r_hi).unwrap(),
                 "r = ({r_lo}, {r_hi})"
             );
         }
@@ -1433,38 +1168,26 @@ mod tests {
 
     #[test]
     fn every_footer_variant_reopens_with_its_tiers() {
-        // The four (quantize, verify_quantize) combinations map onto the
-        // three footer versions — v1 (off/off), v2 (on/off), v3 (either
-        // with verify on, where scan-quant absence is footer-sentinel
-        // encoded). Each must reopen with exactly its tiers and return
-        // identical candidates and code fetches.
+        // The writer emits two footers: v1 (verification tier off) and v3
+        // (on, with the legacy scan-code slots sentinel-encoded as absent).
+        // Each must reopen with exactly its tier and return identical
+        // candidates and code fetches. Older v2/v3 files that carry a
+        // scan-code region are covered by the frozen fixtures in the core
+        // crate's format-compatibility tests.
         let proj = random_matrix(300, 5, 41);
         let orig = random_matrix(300, 9, 42);
-        for (quantize, verify_quantize) in
-            [(false, false), (true, false), (false, true), (true, true)]
-        {
+        for verify_quantize in [false, true] {
             let cfg = IDistanceConfig {
                 kp: 3,
                 nkey: 6,
                 ksp: 2,
-                quantize,
                 verify_quantize,
                 ..Default::default()
             };
             let pager = Arc::new(Pager::in_memory(512, 1 << 16));
             let built = build_index(Arc::clone(&pager), &proj, &orig, &cfg).unwrap();
             let reopened = IDistanceIndex::open(pager).unwrap();
-            assert_eq!(
-                reopened.quantized(),
-                quantize,
-                "({quantize}, {verify_quantize})"
-            );
-            assert_eq!(
-                reopened.verify_quantized(),
-                verify_quantize,
-                "({quantize}, {verify_quantize})"
-            );
-            assert_eq!(reopened.quants(), built.quants());
+            assert_eq!(reopened.verify_quantized(), verify_quantize);
             assert_eq!(reopened.vquants(), built.vquants());
             let pq = vec![0.1f32; 5];
             assert_eq!(

@@ -193,6 +193,70 @@ pub mod enc {
         }
         out
     }
+
+    /// A bounds-checked little-endian reader for bytes read back from a
+    /// file. The `get_*` helpers above index and unwrap; this reader turns a
+    /// read past the end into [`std::io::ErrorKind::InvalidData`], so a
+    /// truncated or corrupt directory is an error, not a panic.
+    pub struct Reader<'a> {
+        buf: &'a [u8],
+        pos: usize,
+    }
+
+    impl<'a> Reader<'a> {
+        /// A reader positioned at the start of `buf`.
+        pub fn new(buf: &'a [u8]) -> Self {
+            Self { buf, pos: 0 }
+        }
+
+        /// Bytes not yet consumed.
+        pub fn remaining(&self) -> usize {
+            self.buf.len() - self.pos
+        }
+
+        /// Consumes the next `n` bytes.
+        pub fn bytes(&mut self, n: usize) -> std::io::Result<&'a [u8]> {
+            if n > self.remaining() {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "encoded record runs past the end of its blob",
+                ));
+            }
+            let out = &self.buf[self.pos..self.pos + n];
+            self.pos += n;
+            Ok(out)
+        }
+
+        fn array<const N: usize>(&mut self) -> std::io::Result<[u8; N]> {
+            Ok(self.bytes(N)?.try_into().expect("N bytes"))
+        }
+
+        /// Reads a `u32`.
+        pub fn u32(&mut self) -> std::io::Result<u32> {
+            self.array().map(u32::from_le_bytes)
+        }
+        /// Reads a `u64`.
+        pub fn u64(&mut self) -> std::io::Result<u64> {
+            self.array().map(u64::from_le_bytes)
+        }
+        /// Reads an `f32`.
+        pub fn f32(&mut self) -> std::io::Result<f32> {
+            self.array().map(f32::from_le_bytes)
+        }
+        /// Reads an `f64`.
+        pub fn f64(&mut self) -> std::io::Result<f64> {
+            self.array().map(f64::from_le_bytes)
+        }
+        /// Reads `n` `f32`s; checks the length before allocating.
+        pub fn f32s(&mut self, n: usize) -> std::io::Result<Vec<f32>> {
+            let len = n.saturating_mul(4);
+            Ok(self
+                .bytes(len)?
+                .chunks_exact(4)
+                .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+                .collect())
+        }
+    }
 }
 
 #[cfg(test)]
@@ -302,5 +366,28 @@ mod tests {
         assert_eq!(get_f64(&buf, &mut pos), -1.5);
         assert_eq!(get_f32s(&buf, &mut pos, 3), vec![1.0, 2.5, -3.25]);
         assert_eq!(pos, buf.len());
+
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.u32().unwrap(), 7);
+        assert_eq!(r.u64().unwrap(), u64::MAX - 3);
+        assert_eq!(r.f64().unwrap(), -1.5);
+        assert_eq!(r.f32s(3).unwrap(), vec![1.0, 2.5, -3.25]);
+        assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn reader_refuses_to_run_past_the_end() {
+        use enc::*;
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 7);
+        let mut r = Reader::new(&buf);
+        let err = r.u64().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // A failed read consumes nothing; a count that would overflow the
+        // byte length is refused before any allocation.
+        assert_eq!(r.remaining(), 4);
+        assert!(r.f32s(usize::MAX).is_err());
+        assert_eq!(r.u32().unwrap(), 7);
+        assert!(r.f32().is_err());
     }
 }

@@ -2,6 +2,8 @@
 //! codec so the directory itself lives in the paged file (it is part of the
 //! paper's Index Size measurement).
 
+use std::io;
+
 use crate::layout::enc::*;
 
 /// A first-stage partition: k-means center and covering radius in the
@@ -35,56 +37,6 @@ pub struct SubPartMeta {
     /// Byte offset of the original records inside the packed original
     /// region (`count` records of `4d` bytes, same order as projected).
     pub orig_off: u64,
-}
-
-/// Per-sub-partition SQ8 quantizer (format v2): the sub-partition's
-/// projected rows are scalar-quantized to u8 codes
-/// (`code = round((x − min) / scale)`, one shared affine per sub-partition)
-/// and stored as a dense code column in the quantized region.
-///
-/// `err` is the exact dequantization bound computed at build time:
-/// `max over members of ‖x − x̂‖` where `x̂ⱼ = min + scale·codeⱼ`. By the
-/// triangle inequality, `|dis(x, q) − dis(x̂, q)| ≤ err` for every query
-/// `q`, which is what lets the quantized filter pad the annulus radii and
-/// never drop a true candidate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubPartQuant {
-    /// Byte offset of this sub-partition's code rows inside the packed
-    /// quantized region (`count` rows of `m` bytes each, same record order
-    /// as the projected region).
-    pub off: u64,
-    /// Quantization step (`> 0`; degenerate single-value sub-partitions
-    /// store 1.0 with all codes 0).
-    pub scale: f32,
-    /// Quantization origin (the sub-partition's coordinate minimum).
-    pub min: f32,
-    /// Upper bound on any member's dequantization distance ‖x − x̂‖
-    /// (rounded up when narrowed to f32).
-    pub err: f32,
-}
-
-impl SubPartQuant {
-    /// Serializes into `buf`.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        put_u64(buf, self.off);
-        put_f32(buf, self.scale);
-        put_f32(buf, self.min);
-        put_f32(buf, self.err);
-    }
-
-    /// Deserializes from `buf` at `pos`.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Self {
-        let off = get_u64(buf, pos);
-        let scale = get_f32(buf, pos);
-        let min = get_f32(buf, pos);
-        let err = get_f32(buf, pos);
-        Self {
-            off,
-            scale,
-            min,
-            err,
-        }
-    }
 }
 
 /// Per-sub-partition SQ8 quantizer for **original** vectors (format v3):
@@ -128,20 +80,15 @@ impl OrigQuant {
         put_f32(buf, self.xnorm);
     }
 
-    /// Deserializes from `buf` at `pos`.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Self {
-        let off = get_u64(buf, pos);
-        let scale = get_f32(buf, pos);
-        let min = get_f32(buf, pos);
-        let err = get_f32(buf, pos);
-        let xnorm = get_f32(buf, pos);
-        Self {
-            off,
-            scale,
-            min,
-            err,
-            xnorm,
-        }
+    /// Deserializes from `r`.
+    pub fn decode(r: &mut Reader<'_>) -> io::Result<Self> {
+        Ok(Self {
+            off: r.u64()?,
+            scale: r.f32()?,
+            min: r.f32()?,
+            err: r.f32()?,
+            xnorm: r.f32()?,
+        })
     }
 }
 
@@ -154,17 +101,14 @@ impl PartitionMeta {
         put_u64(buf, self.count);
     }
 
-    /// Deserializes from `buf` at `pos`.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Self {
-        let m = get_u32(buf, pos) as usize;
-        let center = get_f32s(buf, pos, m);
-        let radius = get_f64(buf, pos);
-        let count = get_u64(buf, pos);
-        Self {
-            center,
-            radius,
-            count,
-        }
+    /// Deserializes from `r`.
+    pub fn decode(r: &mut Reader<'_>) -> io::Result<Self> {
+        let m = r.u32()? as usize;
+        Ok(Self {
+            center: r.f32s(m)?,
+            radius: r.f64()?,
+            count: r.u64()?,
+        })
     }
 }
 
@@ -180,23 +124,18 @@ impl SubPartMeta {
         put_u64(buf, self.orig_off);
     }
 
-    /// Deserializes from `buf` at `pos`.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Self {
-        let key = get_u64(buf, pos);
-        let m = get_u32(buf, pos) as usize;
-        let pivot = get_f32s(buf, pos, m);
-        let radius = get_f64(buf, pos);
-        let count = get_u32(buf, pos);
-        let proj_off = get_u64(buf, pos);
-        let orig_off = get_u64(buf, pos);
-        Self {
+    /// Deserializes from `r`.
+    pub fn decode(r: &mut Reader<'_>) -> io::Result<Self> {
+        let key = r.u64()?;
+        let m = r.u32()? as usize;
+        Ok(Self {
             key,
-            pivot,
-            radius,
-            count,
-            proj_off,
-            orig_off,
-        }
+            pivot: r.f32s(m)?,
+            radius: r.f64()?,
+            count: r.u32()?,
+            proj_off: r.u64()?,
+            orig_off: r.u64()?,
+        })
     }
 }
 
@@ -213,9 +152,9 @@ mod tests {
         };
         let mut buf = Vec::new();
         p.encode(&mut buf);
-        let mut pos = 0;
-        assert_eq!(PartitionMeta::decode(&buf, &mut pos), p);
-        assert_eq!(pos, buf.len());
+        let mut r = Reader::new(&buf);
+        assert_eq!(PartitionMeta::decode(&mut r).unwrap(), p);
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -230,24 +169,9 @@ mod tests {
         };
         let mut buf = Vec::new();
         s.encode(&mut buf);
-        let mut pos = 0;
-        assert_eq!(SubPartMeta::decode(&buf, &mut pos), s);
-        assert_eq!(pos, buf.len());
-    }
-
-    #[test]
-    fn subpart_quant_roundtrip() {
-        let q = SubPartQuant {
-            off: 4096,
-            scale: 0.0321,
-            min: -4.75,
-            err: 0.064,
-        };
-        let mut buf = Vec::new();
-        q.encode(&mut buf);
-        let mut pos = 0;
-        assert_eq!(SubPartQuant::decode(&buf, &mut pos), q);
-        assert_eq!(pos, buf.len());
+        let mut r = Reader::new(&buf);
+        assert_eq!(SubPartMeta::decode(&mut r).unwrap(), s);
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -261,9 +185,9 @@ mod tests {
         };
         let mut buf = Vec::new();
         q.encode(&mut buf);
-        let mut pos = 0;
-        assert_eq!(OrigQuant::decode(&buf, &mut pos), q);
-        assert_eq!(pos, buf.len());
+        let mut r = Reader::new(&buf);
+        assert_eq!(OrigQuant::decode(&mut r).unwrap(), q);
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -279,10 +203,16 @@ mod tests {
         for p in &parts {
             p.encode(&mut buf);
         }
-        let mut pos = 0;
+        let mut r = Reader::new(&buf);
         let decoded: Vec<PartitionMeta> = (0..5)
-            .map(|_| PartitionMeta::decode(&buf, &mut pos))
+            .map(|_| PartitionMeta::decode(&mut r).unwrap())
             .collect();
         assert_eq!(decoded, parts);
+        // Cut anywhere short of the end, decoding errors instead of
+        // panicking.
+        let mut r = Reader::new(&buf[..buf.len() - 1]);
+        let res: io::Result<Vec<PartitionMeta>> =
+            (0..5).map(|_| PartitionMeta::decode(&mut r)).collect();
+        assert_eq!(res.unwrap_err().kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -20,10 +20,6 @@ fn random_matrix(n: usize, d: usize, seed: u64) -> Matrix {
 }
 
 fn build(n: usize, m: usize, page_size: usize, seed: u64) -> IDistanceIndex {
-    build_quant(n, m, page_size, seed, true)
-}
-
-fn build_quant(n: usize, m: usize, page_size: usize, seed: u64, quantize: bool) -> IDistanceIndex {
     let proj = random_matrix(n, m, seed);
     let orig = random_matrix(n, 6, seed ^ 0xFF);
     let pager = Arc::new(Pager::in_memory(page_size, 1 << 16));
@@ -31,7 +27,6 @@ fn build_quant(n: usize, m: usize, page_size: usize, seed: u64, quantize: bool) 
         kp: 3,
         nkey: 6,
         ksp: 2,
-        quantize,
         ..Default::default()
     };
     build_index(pager, &proj, &orig, &cfg).unwrap()
@@ -128,74 +123,6 @@ proptest! {
         }
         expected.sort_unstable();
         prop_assert_eq!(got, expected);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The two-level quantized scan must return candidates **bit-identical**
-    /// to the pure-f32 scan — same ids, same offsets, same `proj_dist`
-    /// down to the last bit — across page sizes that force records to
-    /// straddle page boundaries (70, 130 are not multiples of 4) and
-    /// across radius regimes:
-    ///
-    /// * random radii;
-    /// * **adversarial near-boundary radii**: `r_hi` set exactly to a
-    ///   stored point's computed distance (the `pd ≤ r_hi` edge) and
-    ///   `r_lo` to another's (the strict `pd > r_lo` edge) — the bit
-    ///   pattern where any discrepancy between the quantized filter's
-    ///   padding and the exact kernel would surface;
-    /// * an out-of-range query (scaled ×50) whose coordinates clamp in
-    ///   code space, exercising the query-side error compensation.
-    #[test]
-    fn quantized_scan_matches_f32_scan_bit_for_bit(
-        n in 40usize..220,
-        m in 2usize..7,
-        ps_pick in 0usize..4,
-        seed in 0u64..1_000,
-        mode in 0usize..3,
-    ) {
-        let page_size = [4096usize, 64, 70, 130][ps_pick];
-        let quant = build_quant(n, m, page_size, seed, true);
-        let f32_only = build_quant(n, m, page_size, seed, false);
-        prop_assert!(quant.quantized());
-        prop_assert!(!f32_only.quantized());
-
-        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xDEAD);
-        let mut pq: Vec<f32> = (0..m).map(|_| rng.normal() as f32).collect();
-        if mode == 2 {
-            for x in &mut pq {
-                *x *= 50.0; // far outside every sub-partition's code range
-            }
-        }
-
-        let (r_lo, r_hi) = if mode == 1 {
-            // Exact stored distances as radii: recompute through the same
-            // scan the index uses, then query with those very bits.
-            let all = quant.range_candidates(&pq, -1.0, f64::INFINITY).unwrap();
-            prop_assert!(!all.is_empty());
-            let hi = all[rng.below(all.len() as u64) as usize].proj_dist;
-            let lo = all[rng.below(all.len() as u64) as usize].proj_dist;
-            (lo.min(hi), hi.max(lo))
-        } else {
-            let hi = rng.uniform_range(0.5, 4.0);
-            let lo = if rng.uniform_range(0.0, 1.0) < 0.5 { -1.0 } else { hi * 0.4 };
-            (lo, hi)
-        };
-
-        let mut scratch = ProjScratch::new();
-        let mut got = Vec::new();
-        let mut want = Vec::new();
-        quant
-            .range_candidates_into(&pq, r_lo, r_hi, &mut got, &mut scratch)
-            .unwrap();
-        f32_only
-            .range_candidates_into(&pq, r_lo, r_hi, &mut want, &mut scratch)
-            .unwrap();
-        // RangeCandidate derives PartialEq over (id, proj_dist, subpart,
-        // offset); equality here is bit-equality of the f64 distances.
-        prop_assert_eq!(got, want, "r_lo={} r_hi={}", r_lo, r_hi);
     }
 }
 

@@ -232,7 +232,8 @@ unsafe fn sq_dist4_body(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32
 // --- 8-bit quantized (SQ8) kernels ------------------------------------------
 //
 // 512-bit versions of the integer tier in [`crate::x86`]: 32 u8 codes widen
-// to i16 per `vpmovzxbw`, reduce through the non-saturating `vpmaddwd`
+// to i16 per `vpmovzxbw`, pair with sign-extended i8 query codes, reduce
+// through the non-saturating `vpmaddwd`
 // (see the AVX2 file for why `maddubs` is rejected), and accumulate in i32
 // lanes. These need AVX-512BW (512-bit integer widen/madd), which the
 // dispatcher's `avx512f` gate does not imply — `dispatch` detects BW once
@@ -245,46 +246,6 @@ unsafe fn sq_dist4_body(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32
 #[target_feature(enable = "avx512f,avx512bw")]
 unsafe fn widen32_u8(p: *const u8) -> __m512i {
     _mm512_cvtepu8_epi16(_mm256_loadu_si256(p as *const __m256i))
-}
-
-#[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn sq_dist4_i8_body(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[u8]) -> [u32; 4] {
-    debug_assert!(
-        a0.len() == b.len() && a1.len() == b.len() && a2.len() == b.len() && a3.len() == b.len(),
-        "sq_dist4_i8: dimension mismatch"
-    );
-    // Soundness: clamp to the shortest operand (see dot_body).
-    let n = b
-        .len()
-        .min(a0.len())
-        .min(a1.len())
-        .min(a2.len())
-        .min(a3.len());
-    let bp = b.as_ptr();
-    let rows = [a0.as_ptr(), a1.as_ptr(), a2.as_ptr(), a3.as_ptr()];
-    let mut acc = [_mm512_setzero_si512(); 4];
-    let chunks = n / 32;
-    for i in 0..chunks {
-        let vb = widen32_u8(bp.add(i * 32));
-        for (r, &rp) in rows.iter().enumerate() {
-            let d = _mm512_sub_epi16(widen32_u8(rp.add(i * 32)), vb);
-            acc[r] = _mm512_add_epi32(acc[r], _mm512_madd_epi16(d, d));
-        }
-    }
-    let mut out = [
-        _mm512_reduce_add_epi32(acc[0]) as u32,
-        _mm512_reduce_add_epi32(acc[1]) as u32,
-        _mm512_reduce_add_epi32(acc[2]) as u32,
-        _mm512_reduce_add_epi32(acc[3]) as u32,
-    ];
-    for i in chunks * 32..n {
-        let x = *bp.add(i) as i32;
-        for (r, &rp) in rows.iter().enumerate() {
-            let d = *rp.add(i) as i32 - x;
-            out[r] += (d * d) as u32;
-        }
-    }
-    out
 }
 
 #[target_feature(enable = "avx512f,avx512bw")]
@@ -374,10 +335,6 @@ pub(crate) fn dot4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) ->
 
 pub(crate) fn sq_dist4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -> [f64; 4] {
     unsafe { sq_dist4_body(a0, a1, a2, a3, b) }
-}
-
-pub(crate) fn sq_dist4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[u8]) -> [u32; 4] {
-    unsafe { sq_dist4_i8_body(a0, a1, a2, a3, b) }
 }
 
 pub(crate) fn dot4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]) -> [i32; 4] {

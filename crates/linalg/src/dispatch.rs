@@ -38,21 +38,15 @@ use crate::scalar;
 /// against one shared right-hand side.
 pub type Dot4Fn = fn(&[f32], &[f32], &[f32], &[f32], &[f32]) -> [f64; 4];
 
-/// Signature of the blocked quantized squared-distance kernel
-/// (`sq_dist4_i8`): four u8 code rows against one shared u8 code query.
-/// Exact integer arithmetic — every backend returns identical sums (valid
-/// for lengths up to 2¹⁵; the quantized tier serves `m ≤ 64`).
-pub type SqDist4I8Fn = fn(&[u8], &[u8], &[u8], &[u8], &[u8]) -> [u32; 4];
-
 /// Signature of the blocked quantized inner-product kernel (`dot4_i8`):
-/// four u8 code rows against one shared i8 query. Exact integer arithmetic,
-/// same length bound as [`SqDist4I8Fn`].
+/// four u8 code rows against one shared i8 query. Exact integer arithmetic
+/// — every backend returns identical sums (valid for lengths up to 2¹⁵).
 pub type Dot4I8Fn = fn(&[u8], &[u8], &[u8], &[u8], &[i8]) -> [i32; 4];
 
 /// Signature of the single-row quantized inner-product kernel (`dot_i8`):
 /// one u8 code row against one i8 query — the tail shape of the quantized
 /// verification screen. Exact integer arithmetic, same length bound as
-/// [`SqDist4I8Fn`].
+/// [`Dot4I8Fn`].
 pub type DotI8Fn = fn(&[u8], &[i8]) -> i32;
 
 /// The dispatch table: one entry per kernel.
@@ -73,8 +67,6 @@ pub struct Kernels {
     pub dot4: Dot4Fn,
     /// Four squared Euclidean distances against a shared right-hand side.
     pub sq_dist4: Dot4Fn,
-    /// Four quantized squared distances over u8 codes (SQ8 filter tier).
-    pub sq_dist4_i8: SqDist4I8Fn,
     /// Four quantized inner products (u8 code rows × i8 query).
     pub dot4_i8: Dot4I8Fn,
     /// One quantized inner product (u8 code row × i8 query).
@@ -90,7 +82,6 @@ pub static SCALAR: Kernels = Kernels {
     norm1: scalar::norm1,
     dot4: scalar::dot4,
     sq_dist4: scalar::sq_dist4,
-    sq_dist4_i8: scalar::sq_dist4_i8,
     dot4_i8: scalar::dot4_i8,
     dot_i8: scalar::dot_i8,
 };
@@ -104,7 +95,6 @@ static AVX2: Kernels = Kernels {
     norm1: crate::x86::norm1,
     dot4: crate::x86::dot4,
     sq_dist4: crate::x86::sq_dist4,
-    sq_dist4_i8: crate::x86::sq_dist4_i8,
     dot4_i8: crate::x86::dot4_i8,
     dot_i8: crate::x86::dot_i8,
 };
@@ -122,7 +112,6 @@ static AVX512: Kernels = Kernels {
     // AVX-512BW, which the `avx512f` gate does not imply, so the static
     // table carries the AVX2 bodies and `avx512_table()` swaps in the
     // 512-bit versions after a one-time BW detection.
-    sq_dist4_i8: crate::x86::sq_dist4_i8,
     dot4_i8: crate::x86::dot4_i8,
     dot_i8: crate::x86::dot_i8,
 };
@@ -133,7 +122,6 @@ static AVX512: Kernels = Kernels {
 fn avx512_table() -> Kernels {
     let mut k = AVX512;
     if std::arch::is_x86_feature_detected!("avx512bw") {
-        k.sq_dist4_i8 = crate::avx512::sq_dist4_i8;
         k.dot4_i8 = crate::avx512::dot4_i8;
         k.dot_i8 = crate::avx512::dot_i8;
     }

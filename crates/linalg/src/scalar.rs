@@ -101,45 +101,19 @@ pub fn sq_dist4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -> [f
 
 // --- 8-bit quantized (SQ8) kernels ------------------------------------------
 //
-// The quantized filter tier stores vectors as unsigned 8-bit codes
-// (`code = round((x − min) / scale)`), so its reductions are *exact integer
-// arithmetic*: every backend returns bit-identical sums, and the parity
-// contract for these kernels is equality, not a tolerance. Accumulation is
-// `u32`/`i32`, which is exact for lengths up to 2¹⁵ (the worst-case per-term
-// magnitude is 255² = 65 025) — far beyond the projected dimensionality
-// `m ≤ 64` these kernels serve.
-
-/// Squared Euclidean distance between two u8 code vectors,
-/// `Σ (aᵢ − bᵢ)²` with exact `u32` accumulation.
-pub fn sq_dist_i8(a: &[u8], b: &[u8]) -> u32 {
-    debug_assert_eq!(a.len(), b.len(), "sq_dist_i8: dimension mismatch");
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| {
-            let d = x as i32 - y as i32;
-            (d * d) as u32
-        })
-        .sum()
-}
+// The verification tier stores original vectors as unsigned 8-bit codes
+// (`code = round((x − min) / scale)`) and the query as signed 8-bit codes,
+// so its reductions are *exact integer arithmetic*: every backend returns
+// bit-identical sums, and the parity contract for these kernels is
+// equality, not a tolerance. Accumulation is `i32`, which is exact for
+// lengths up to 2¹⁵ (the worst-case per-term magnitude is 255·128 =
+// 32 640).
 
 /// Inner product of a u8 code vector with an i8 code vector,
 /// `Σ aᵢ·bᵢ` with exact `i32` accumulation.
 pub fn dot_i8(a: &[u8], b: &[i8]) -> i32 {
     debug_assert_eq!(a.len(), b.len(), "dot_i8: dimension mismatch");
     a.iter().zip(b).map(|(&x, &y)| x as i32 * y as i32).sum()
-}
-
-/// Four simultaneous quantized squared distances `Σ (aᵢⱼ − bⱼ)²` — the
-/// blocked primitive behind the quantized annulus filter (four contiguous
-/// code rows against one quantized query per call). All five slices must
-/// have equal length.
-pub fn sq_dist4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[u8]) -> [u32; 4] {
-    [
-        sq_dist_i8(a0, b),
-        sq_dist_i8(a1, b),
-        sq_dist_i8(a2, b),
-        sq_dist_i8(a3, b),
-    ]
 }
 
 /// Four simultaneous quantized inner products `Σ aᵢⱼ·bⱼ` against a shared

@@ -63,20 +63,10 @@ pub fn sq_dist4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -> [f
     (kernels().sq_dist4)(a0, a1, a2, a3, b)
 }
 
-/// Four quantized squared distances `Σⱼ (aᵢⱼ − bⱼ)²` over u8 codes sharing
-/// one pass over `b` — the blocked primitive behind the SQ8 annulus filter
-/// (four contiguous code rows against one quantized query per call).
-///
-/// Exact integer arithmetic: every backend returns identical sums. Valid
-/// for lengths up to 2¹⁵ (i32 lane accumulation bound).
-#[inline]
-pub fn sq_dist4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[u8]) -> [u32; 4] {
-    (kernels().sq_dist4_i8)(a0, a1, a2, a3, b)
-}
-
 /// Four quantized inner products `Σⱼ aᵢⱼ·bⱼ` (u8 code rows × i8 query)
-/// sharing one pass over `b`. Exact integer arithmetic, same length bound
-/// as [`sq_dist4_i8`].
+/// sharing one pass over `b`. Exact integer arithmetic: every backend
+/// returns identical sums. Valid for lengths up to 2¹⁵ (i32 lane
+/// accumulation bound).
 #[inline]
 pub fn dot4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]) -> [i32; 4] {
     (kernels().dot4_i8)(a0, a1, a2, a3, b)
@@ -85,7 +75,7 @@ pub fn dot4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]) -> [i32; 4]
 /// One quantized inner product `Σⱼ aⱼ·bⱼ` (u8 code row × i8 query) — the
 /// tail shape of the quantized verification screen, pairing with
 /// [`dot4_i8`] the way [`dot`] pairs with [`dot4`]. Exact integer
-/// arithmetic, same length bound as [`sq_dist4_i8`].
+/// arithmetic, same length bound as [`dot4_i8`].
 #[inline]
 pub fn dot_i8(a: &[u8], b: &[i8]) -> i32 {
     (kernels().dot_i8)(a, b)
@@ -168,17 +158,11 @@ mod tests {
     fn quantized_kernels_basic() {
         // Length 5 exercises the SIMD tail path on every backend.
         let a: Vec<u8> = vec![0, 255, 10, 20, 30];
-        let b: Vec<u8> = vec![255, 0, 10, 25, 28];
-        let want: u32 = 255 * 255 + 255 * 255 + 25 + 4;
-        assert_eq!(sq_dist4_i8(&a, &a, &a, &a, &b), [want; 4]);
-        assert_eq!(sq_dist4_i8(&a, &b, &a, &b, &a), [0, want, 0, want]);
-
         let q: Vec<i8> = vec![-128, 127, 1, -1, 0];
         // a·q = 0·(−128) + 255·127 + 10·1 + 20·(−1) + 30·0
         let want_dot: i32 = 127 * 255 + 10 - 20;
         assert_eq!(dot4_i8(&a, &a, &a, &a, &q), [want_dot; 4]);
         assert_eq!(dot_i8(&a, &q), want_dot);
-        assert_eq!(sq_dist4_i8(&[], &[], &[], &[], &[]), [0; 4]);
         assert_eq!(dot4_i8(&[], &[], &[], &[], &[]), [0; 4]);
         assert_eq!(dot_i8(&[], &[]), 0);
     }
@@ -298,21 +282,6 @@ mod tests {
             /// backend must agree with the scalar reference *bit for bit*
             /// (no tolerance), across lengths sweeping the 16/32-code
             /// unroll remainders and the full u8/i8 code ranges.
-            #[test]
-            fn sq_dist4_i8_parity(v in proptest::collection::vec(
-                (0u16..256, 0u16..256, 0u16..256, 0u16..256, 0u16..256),
-                0..200,
-            )) {
-                let cols: Vec<Vec<u8>> = (0..5)
-                    .map(|c| v.iter().map(|t| [t.0, t.1, t.2, t.3, t.4][c] as u8).collect())
-                    .collect();
-                let want = scalar::sq_dist4_i8(&cols[0], &cols[1], &cols[2], &cols[3], &cols[4]);
-                for k in available_backends() {
-                    let got = (k.sq_dist4_i8)(&cols[0], &cols[1], &cols[2], &cols[3], &cols[4]);
-                    prop_assert_eq!(got, want, "backend {}", k.name);
-                }
-            }
-
             #[test]
             fn dot4_i8_parity(v in proptest::collection::vec(
                 (0u16..256, 0u16..256, 0u16..256, 0u16..256, -128i16..128),

@@ -270,15 +270,15 @@ unsafe fn sq_dist4_body(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32
 
 // --- 8-bit quantized (SQ8) kernels ------------------------------------------
 //
-// Integer kernels for the quantized filter tier: u8 codes are widened to
-// i16 (`vpmovzxbw`), differenced / paired with the query, and reduced with
-// `vpmaddwd` (`_mm256_madd_epi16`), which multiplies i16 lanes and adds
-// adjacent pairs into i32 — *without saturation*. The tempting one-step
-// `vpmaddubsw` (`maddubs`, u8×i8) is NOT used: it saturates its i16 pair
-// sums (two products of up to 255·127 overflow i16), which would break the
-// exact-integer parity contract these kernels carry. Accumulation stays in
-// i32 lanes — exact for lengths up to 2¹⁵ at worst-case magnitudes, far
-// beyond the m ≤ 64 projected dimensionality served here.
+// Integer kernels for the quantized verification tier: u8 codes are
+// widened to i16 (`vpmovzxbw`), i8 query codes sign-extended, and the
+// pairs reduced with `vpmaddwd` (`_mm256_madd_epi16`), which multiplies
+// i16 lanes and adds adjacent pairs into i32 — *without saturation*. The
+// tempting one-step `vpmaddubsw` (`maddubs`, u8×i8) is NOT used: it
+// saturates its i16 pair sums (two products of up to 255·127 overflow
+// i16), which would break the exact-integer parity contract these kernels
+// carry. Accumulation stays in i32 lanes — exact for lengths up to 2¹⁵ at
+// worst-case magnitudes.
 
 /// Horizontal sum of the eight i32 lanes of a 256-bit vector.
 #[inline]
@@ -297,49 +297,6 @@ unsafe fn hsum_epi32(v: __m256i) -> i32 {
 #[target_feature(enable = "avx2")]
 unsafe fn widen16_u8(p: *const u8) -> __m256i {
     _mm256_cvtepu8_epi16(_mm_loadu_si128(p as *const __m128i))
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn sq_dist4_i8_body(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[u8]) -> [u32; 4] {
-    debug_assert!(
-        a0.len() == b.len() && a1.len() == b.len() && a2.len() == b.len() && a3.len() == b.len(),
-        "sq_dist4_i8: dimension mismatch"
-    );
-    // Soundness: clamp to the shortest operand (see dot_body).
-    let n = b
-        .len()
-        .min(a0.len())
-        .min(a1.len())
-        .min(a2.len())
-        .min(a3.len());
-    let bp = b.as_ptr();
-    let rows = [a0.as_ptr(), a1.as_ptr(), a2.as_ptr(), a3.as_ptr()];
-    // One widened load of `b` feeds four sub+madd chains, 16 codes each —
-    // the same register-blocking as the f32 sq_dist4, at a quarter of the
-    // memory traffic.
-    let mut acc = [_mm256_setzero_si256(); 4];
-    let chunks = n / 16;
-    for i in 0..chunks {
-        let vb = widen16_u8(bp.add(i * 16));
-        for (r, &rp) in rows.iter().enumerate() {
-            let d = _mm256_sub_epi16(widen16_u8(rp.add(i * 16)), vb);
-            acc[r] = _mm256_add_epi32(acc[r], _mm256_madd_epi16(d, d));
-        }
-    }
-    let mut out = [
-        hsum_epi32(acc[0]) as u32,
-        hsum_epi32(acc[1]) as u32,
-        hsum_epi32(acc[2]) as u32,
-        hsum_epi32(acc[3]) as u32,
-    ];
-    for i in chunks * 16..n {
-        let x = *bp.add(i) as i32;
-        for (r, &rp) in rows.iter().enumerate() {
-            let d = *rp.add(i) as i32 - x;
-            out[r] += (d * d) as u32;
-        }
-    }
-    out
 }
 
 #[target_feature(enable = "avx2")]
@@ -431,10 +388,6 @@ pub(crate) fn dot4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) ->
 
 pub(crate) fn sq_dist4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -> [f64; 4] {
     unsafe { sq_dist4_body(a0, a1, a2, a3, b) }
-}
-
-pub(crate) fn sq_dist4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[u8]) -> [u32; 4] {
-    unsafe { sq_dist4_i8_body(a0, a1, a2, a3, b) }
 }
 
 pub(crate) fn dot4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]) -> [i32; 4] {

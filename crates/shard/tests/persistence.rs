@@ -132,9 +132,10 @@ fn one_shard_snapshot_matches_unsharded_index() {
 #[test]
 fn shard_files_carry_the_quantized_column() {
     // Each indexed shard's self-contained .pmx file must persist the SQ8
-    // quantized region (format v2): opened directly with `ProMips::open`,
-    // the shard reports the tier active, and the reloaded sharded index
-    // keeps returning bit-identical results through the two-level scan.
+    // verification column (format v3): opened directly with
+    // `ProMips::open`, the shard reports the tier active with one quantizer
+    // per sub-partition, and the reloaded sharded index keeps returning
+    // bit-identical results through screen + rescore.
     let dir = temp_dir("quantcol");
     let data = random_data(900, 16, 41);
     let cfg = ShardedConfig::builder()
@@ -155,11 +156,11 @@ fn shard_files_carry_the_quantized_column() {
         ));
         let shard = ProMips::open(pager).unwrap();
         assert!(
-            shard.idistance().quantized(),
-            "shard {si} file lost the quantized tier"
+            shard.idistance().verify_quantized(),
+            "shard {si} file lost the verification tier"
         );
         assert_eq!(
-            shard.idistance().quants().len(),
+            shard.idistance().vquants().len(),
             shard.idistance().subparts().len()
         );
     }
